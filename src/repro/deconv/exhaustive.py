@@ -15,10 +15,11 @@ per layer and additionally exploits inter-layer activation reuse.
 from __future__ import annotations
 
 from repro.deconv.optimizer import (
-    _geometric_candidates,
-    _resolve_tiles,
-    balanced_split,
-    build_schedule,
+    _build_schedule,
+    _grids,
+    _runs,
+    _TileGeometry,
+    _TileResolver,
 )
 from repro.hw.config import HWConfig
 from repro.hw.schedule import LayerWork, Schedule
@@ -49,19 +50,83 @@ class Partition:
         )
 
 
-def _first_fit_grid(layer: LayerWork, hw: HWConfig, part: Partition):
-    """Smallest tile grid whose ifmap chunk fits the ifmap section."""
-    bpe = hw.bytes_per_elem
-    max_rows = max(s.out_rows for s in layer.subconvs)
-    max_cols = max(s.out_cols for s in layer.subconvs)
-    for n_col in [c for c in _geometric_candidates(max_cols) if c <= 16]:
-        for n_ic in _geometric_candidates(layer.in_channels):
-            for n_row in _geometric_candidates(max_rows):
-                geom = _resolve_tiles(layer, n_row, n_col, n_ic)
-                chunk = geom.max_tile_elems_per_channel * max(geom.ic_chunks) * bpe
-                if chunk <= part.ifmap_bytes:
-                    return n_row, n_col, n_ic, geom
-    return None
+class _LayerSearch:
+    """One layer's static-partition search state, for one search call.
+
+    The first-fit grid depends only on the ifmap section, and the best
+    reuse order of a (grid, groups) pair only on that pair, so both are
+    memoized here.  Cycles are kept, never schedules: the winner is
+    rebuilt at the end under its own partition's label.
+    """
+
+    def __init__(self, layer: LayerWork, hw: HWConfig, model: SystolicModel):
+        self.layer = layer
+        self.hw = hw
+        self.model = model
+        self.resolve = _TileResolver(layer)
+        self._grid: dict = {}  # ifmap bytes -> first-fit geometry or None
+        self._beta: dict = {}  # (grid, groups) -> (beta, cycles) or None
+
+    def first_fit_grid(self, ifmap_bytes: int) -> _TileGeometry | None:
+        """Smallest tile grid whose ifmap chunk fits the ifmap section."""
+        if ifmap_bytes not in self._grid:
+            bpe = self.hw.bytes_per_elem
+            self._grid[ifmap_bytes] = next(
+                (
+                    geom
+                    for geom in _grids(self.layer, self.resolve)
+                    if geom.ifmap_chunk_elems * bpe <= ifmap_bytes
+                ),
+                None,
+            )
+        return self._grid[ifmap_bytes]
+
+    def best_beta(self, geom: _TileGeometry, groups) -> tuple[bool, int] | None:
+        """Fastest valid reuse order of a (grid, groups) pair and its
+        cycles, or ``None`` if neither order is valid."""
+        # groups repeat one filter mix many times; run-length keys stay small
+        key = (geom.n_row_tiles, geom.n_col_tiles, geom.n_ic_chunks, *_runs(groups))
+        if key not in self._beta:
+            best = None
+            for weight_resident in (False, True):
+                # resident full-I weights only fit the weight section
+                # when not chunked
+                try:
+                    sched = _build_schedule(
+                        self.layer, geom, groups, weight_resident, label=""
+                    )
+                    sched.validate(self.hw)
+                except ValueError:
+                    continue
+                cycles = self.model.run_schedule(sched, validate=False).cycles
+                if best is None or cycles < best[1]:
+                    best = (weight_resident, cycles)
+            self._beta[key] = best
+        return self._beta[key]
+
+    def plan(self, part: Partition):
+        """(grid, groups, beta, cycles) under ``part``, or ``None``."""
+        geom = self.first_fit_grid(part.ifmap_bytes)
+        if geom is None:
+            return None
+        groups = _greedy_groups(self.layer, geom, self.hw, part)
+        if groups is None:
+            return None
+        best = self.best_beta(geom, groups)
+        if best is None:
+            return None
+        return geom, groups, *best
+
+    def schedule(self, part: Partition) -> Schedule | None:
+        """The layer's schedule under ``part``, labelled with it."""
+        plan = self.plan(part)
+        if plan is None:
+            return None
+        geom, groups, weight_resident, _ = plan
+        # the same build that best_beta validated, under this label
+        return _build_schedule(
+            self.layer, geom, groups, weight_resident, label=f"static:{part!r}"
+        )
 
 
 def _greedy_groups(layer, geom, hw, part: Partition):
@@ -108,29 +173,7 @@ def schedule_with_partition(
     """Schedule one layer under a fixed buffer partition, or ``None``
     if the partition cannot host the layer at all."""
     model = model or SystolicModel(hw)
-    grid = _first_fit_grid(layer, hw, part)
-    if grid is None:
-        return None
-    n_row, n_col, n_ic, geom = grid
-    groups = _greedy_groups(layer, geom, hw, part)
-    if groups is None:
-        return None
-    best = None
-    best_cycles = None
-    for weight_resident in (False, True):
-        # resident full-I weights only fit the weight section when not chunked
-        try:
-            sched = build_schedule(
-                layer, hw, n_row, n_col, n_ic, groups, weight_resident,
-                label=f"static:{part!r}",
-            )
-            sched.validate(hw)
-        except ValueError:
-            continue
-        cycles = model.run_schedule(sched, validate=False).cycles
-        if best_cycles is None or cycles < best_cycles:
-            best, best_cycles = sched, cycles
-    return best
+    return _LayerSearch(layer, hw, model).schedule(part)
 
 
 def best_static_partition(
@@ -155,26 +198,22 @@ def best_static_partition(
     units = hw.usable_buffer_bytes // gran
     if units < 3:
         raise ValueError("buffer too small for a three-way partition")
+    searches = [_LayerSearch(layer, hw, model) for layer in layers]
     best = None
     best_cycles = None
     for i in range(1, units - 1):
         for w in range(1, units - i):
             o = units - i - w
             part = Partition(i * gran, w * gran, o * gran)
-            schedules = []
-            for layer in layers:
-                sched = schedule_with_partition(layer, hw, part, model)
-                if sched is None:
-                    schedules = None
+            cycles = 0
+            for search in searches:
+                plan = search.plan(part)
+                if plan is None:
                     break
-                schedules.append(sched)
-            if schedules is None:
-                continue
-            cycles = sum(
-                model.run_schedule(s, validate=False).cycles for s in schedules
-            )
-            if best_cycles is None or cycles < best_cycles:
-                best, best_cycles = (part, schedules), cycles
+                cycles += plan[-1]
+            else:
+                if best_cycles is None or cycles < best_cycles:
+                    best, best_cycles = part, cycles
     if best is None:
         raise ValueError(f"no static partition can host this network on {hw.name}")
-    return best
+    return best, [search.schedule(best) for search in searches]

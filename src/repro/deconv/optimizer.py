@@ -85,6 +85,11 @@ class _TileGeometry:
     def max_tile_elems_per_channel(self) -> int:
         return self.max_tile_rows * self.max_tile_cols
 
+    @property
+    def ifmap_chunk_elems(self) -> int:
+        """Largest resident ifmap chunk: one tile by one ic chunk."""
+        return self.max_tile_elems_per_channel * max(self.ic_chunks)
+
     def max_share(self, axis: str, k: int) -> int:
         classes = self.row_classes if axis == "rows" else self.col_classes
         return max(c[0][k] for c in classes)
@@ -114,15 +119,34 @@ def _axis_classes(layer: LayerWork, n_tiles: int, axis: str):
     return tuple(classes)
 
 
-def _resolve_tiles(layer: LayerWork, n_row: int, n_col: int, n_ic: int) -> _TileGeometry:
-    return _TileGeometry(
-        n_row_tiles=n_row,
-        n_col_tiles=n_col,
-        n_ic_chunks=n_ic,
-        row_classes=_axis_classes(layer, n_row, "rows"),
-        col_classes=_axis_classes(layer, n_col, "cols"),
-        ic_chunks=tuple(balanced_split(layer.in_channels, n_ic)),
-    )
+class _TileResolver:
+    """Tile geometry of one layer, each axis resolved once per search.
+
+    Row classes depend only on the row count, column classes only on the
+    column count and ic chunks only on the chunk count, so a search over
+    grids resolves each value of each axis once.  An instance lives for
+    one search call; nothing is kept across calls.
+    """
+
+    def __init__(self, layer: LayerWork):
+        self.layer = layer
+        self._rows: dict = {}
+        self._cols: dict = {}
+        self._ics: dict = {}
+
+    def __call__(self, n_row: int, n_col: int, n_ic: int) -> _TileGeometry:
+        rows = self._rows.get(n_row)
+        if rows is None:
+            rows = self._rows[n_row] = _axis_classes(self.layer, n_row, "rows")
+        cols = self._cols.get(n_col)
+        if cols is None:
+            cols = self._cols[n_col] = _axis_classes(self.layer, n_col, "cols")
+        ics = self._ics.get(n_ic)
+        if ics is None:
+            ics = self._ics[n_ic] = tuple(
+                balanced_split(self.layer.in_channels, n_ic)
+            )
+        return _TileGeometry(n_row, n_col, n_ic, rows, cols, ics)
 
 
 def pack_filter_groups(
@@ -204,7 +228,8 @@ def _bounded_knapsack(cap, weights, values, counts):
             rem -= use
             mult *= 2
     best = [0] * (room + 1)
-    choice = [dict() for _ in range(room + 1)]
+    # a cell's picks are copied only when it improves; None is "nothing"
+    choice: list[dict | None] = [None] * (room + 1)
     for k, use, w, v in items:
         if w > room:
             continue
@@ -212,10 +237,11 @@ def _bounded_knapsack(cap, weights, values, counts):
             cand = best[r - w] + v
             if cand > best[r]:
                 best[r] = cand
-                picked = dict(choice[r - w])
+                below = choice[r - w]
+                picked = dict(below) if below else {}
                 picked[k] = picked.get(k, 0) + use
                 choice[r] = picked
-    for k, cnt in choice[room].items():
+    for k, cnt in (choice[room] or {}).items():
         take[k] += cnt
     return take
 
@@ -254,7 +280,18 @@ def build_schedule(
     emitted as O(classes) :class:`RoundPlan` entries with
     multiplicities rather than one object per round.
     """
-    geom = _resolve_tiles(layer, n_row_tiles, n_col_tiles, n_ic_chunks)
+    geom = _TileResolver(layer)(n_row_tiles, n_col_tiles, n_ic_chunks)
+    return _build_schedule(layer, geom, groups, weight_resident, label)
+
+
+def _build_schedule(
+    layer: LayerWork,
+    geom: _TileGeometry,
+    groups: list[tuple[int, ...]],
+    weight_resident: bool,
+    label: str,
+) -> Schedule:
+    """:func:`build_schedule` on an already-resolved tile geometry."""
     subs = layer.subconvs
     n_subs = len(subs)
 
@@ -338,7 +375,7 @@ def build_schedule(
                 for gi, (group, g_count) in enumerate(_runs(groups)):
                     for ic, q_count, is_last in ic_iter():
                         w = weights_elems(group, ic)
-                        if n_ic_chunks > 1:
+                        if geom.n_ic_chunks > 1:
                             sched.add(
                                 make_plan(rk, ck, group, ic, is_last,
                                           True, w, w),
@@ -366,24 +403,17 @@ def build_schedule(
     return sched
 
 
-def _candidate_grids(layer: LayerWork, hw: HWConfig):
-    """Enumerate (n_row, n_col, n_ic) grids worth evaluating."""
+def _grids(layer: LayerWork, resolve: _TileResolver):
+    """Every tile grid of the search space, in search order."""
     max_rows = max(s.out_rows for s in layer.subconvs)
     max_cols = max(s.out_cols for s in layer.subconvs)
     rows = _geometric_candidates(max_rows)
     cols = [c for c in _geometric_candidates(max_cols) if c <= 16]
     ics = _geometric_candidates(layer.in_channels)
-    cap = hw.usable_buffer_bytes
-    bpe = hw.bytes_per_elem
     for n_col in cols:
         for n_ic in ics:
             for n_row in rows:
-                geom = _resolve_tiles(layer, n_row, n_col, n_ic)
-                chunk = (
-                    geom.max_tile_elems_per_channel * max(geom.ic_chunks) * bpe
-                )
-                if chunk < cap:  # leave room for >= one filter
-                    yield n_row, n_col, n_ic
+                yield resolve(n_row, n_col, n_ic)
 
 
 def optimize_layer(
@@ -406,12 +436,10 @@ def optimize_layer(
     best = None
     best_key = None
     seen = 0
-    for n_row, n_col, n_ic in _candidate_grids(layer, hw):
-        geom = _resolve_tiles(layer, n_row, n_col, n_ic)
-        ifmap_bytes = geom.max_tile_elems_per_channel * max(geom.ic_chunks) * bpe
-        budget = cap - ifmap_bytes
+    for geom in _grids(layer, _TileResolver(layer)):
+        budget = cap - geom.ifmap_chunk_elems * bpe
         if budget <= 0:
-            continue
+            continue  # no room left for even one filter
         max_r = [geom.max_share("rows", k) for k in range(len(layer.subconvs))]
         max_c = [geom.max_share("cols", k) for k in range(len(layer.subconvs))]
         for weight_resident in beta_choices:
@@ -428,9 +456,10 @@ def optimize_layer(
             ]
             try:
                 groups = pack_filter_groups(layer, budget, w_cost, p_cost, value)
-                sched = build_schedule(
-                    layer, hw, n_row, n_col, n_ic, groups, weight_resident,
-                    label=f"r{n_row}c{n_col}i{n_ic}b{int(weight_resident)}",
+                sched = _build_schedule(
+                    layer, geom, groups, weight_resident,
+                    label=f"r{geom.n_row_tiles}c{geom.n_col_tiles}"
+                    f"i{geom.n_ic_chunks}b{int(weight_resident)}",
                 )
                 sched.validate(hw)
             except ValueError:

@@ -147,6 +147,8 @@ def hamming_cost_volume(
     else:
         if right is None:
             raise ValueError("either right or right_codes is required")
+        if np.shape(right) != np.shape(left):
+            raise ValueError("left/right images must share a shape")
         cr = census_transform(right, window)
     d_levels = max_disp
     h, w = cl.shape

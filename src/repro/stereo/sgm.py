@@ -163,10 +163,10 @@ def aggregate_volume(
 
     Bit-identical to accumulating the per-direction volumes into a
     zero total in ``_DIRECTIONS_8`` order (what the direction-parallel
-    adapter in :mod:`repro.parallel` does), but ~2x faster serially:
-    one plane-transposed copy serves both horizontal sweeps, and the
-    sweep output buffers are reused across directions instead of
-    being freshly allocated (and page-faulted) eight times.
+    adapter in :mod:`repro.parallel` does).  One plane-transposed copy
+    serves both horizontal sweeps, and the sweep output buffers are
+    reused across directions instead of being freshly allocated (and
+    page-faulted) eight times.
     """
     if paths not in (2, 4, 8):
         raise ValueError("paths must be 2, 4 or 8")

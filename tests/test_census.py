@@ -182,3 +182,13 @@ class TestHammingCost:
         frame = sceneflow_scene(9, size=(100, 180)).render(0)
         disp = census_block_match(frame.left, frame.right, 48, window=7)
         assert error_rate(disp, frame.disparity) < 30.0
+
+    def test_mismatched_shapes_rejected_like_block_match(self):
+        from repro.stereo import block_match
+
+        left, right = np.zeros((32, 64)), np.zeros((32, 60))
+        message = "left/right images must share a shape"
+        with pytest.raises(ValueError, match=message):
+            block_match(left, right, 8)
+        with pytest.raises(ValueError, match=message):
+            census_block_match(left, right, 8)
